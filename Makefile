@@ -21,10 +21,12 @@ race:
 chaos:
 	$(GO) test -race -run 'TestChaos' -v .
 
-# 30-second native-fuzz smoke over the two network-facing decoders.
+# 30-second native-fuzz smoke over the two network-facing decoders and the
+# server's two dispatch entries (inline and nfsd must agree byte-for-byte).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRPCDecode -fuzztime=30s ./internal/rpc
 	$(GO) test -fuzz=FuzzXDRDecode -fuzztime=30s ./internal/xdr
+	$(GO) test -run '^$$' -fuzz=FuzzServerDispatch -fuzztime=30s ./internal/server
 
 vet:
 	$(GO) vet ./...

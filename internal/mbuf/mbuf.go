@@ -234,6 +234,21 @@ func (c *Chain) Append(b []byte) {
 	}
 }
 
+// AppendSmall copies b onto the end of the chain in small mbufs only. A
+// short reply marshalled flat keeps the layout a field-by-field Builder
+// would have given it: no clusters, which the NIC model's page-remap charge
+// counts.
+func (c *Chain) AppendSmall(b []byte) {
+	Stats.CopiedBytes.Add(int64(len(b)))
+	for len(b) > 0 {
+		m := newSmall()
+		n := copy(m.buf, b)
+		m.dlen = n
+		b = b[n:]
+		c.appendMbuf(m)
+	}
+}
+
 // AppendCluster grafts an externally produced, cluster-sized buffer onto the
 // chain without copying — the analogue of lending a buffer-cache page to the
 // network code. The caller must not modify b afterwards.

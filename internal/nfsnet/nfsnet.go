@@ -22,14 +22,15 @@
 // wakeup drains a batch of queued datagrams (recvmmsg-style) into pooled
 // mbufs drawn from a per-reader mbuf.Cache.
 //
-// Dispatch itself is split in two (DESIGN.md §3.4). Before staging a
-// datagram, the reader peeks its CALL header: header-only procedures
-// (NULL, GETATTR, LOOKUP, small READDIRs, STATFS, the MOUNT herd) are
-// serviced inline on the reader via server.HandleCallFast — no mbuf chain,
-// no ring hop, replies encoded into a per-reader arena and flushed in
-// coalesced sendmmsg batches — while everything else (and any fast-path
-// fallback) takes the generic mbuf/ring/nfsd route unchanged. Workers
-// coalesce their reply sends the same way when a burst is in the ring.
+// Dispatch runs in one of two places (DESIGN.md §3.4). Before staging a
+// datagram, the reader peeks its CALL header: the bounded-reply procedures
+// (NULL, GETATTR, SETATTR, LOOKUP, READLINK, small READDIRs, STATFS, the
+// MOUNT herd) are serviced inline on the reader via server.HandleCallFast —
+// no mbuf chain, no ring hop, replies encoded into a per-reader arena and
+// flushed in coalesced sendmmsg batches — while everything else (and any
+// inline refusal) rides the ring to an nfsd. Both places run the same
+// server handlers. Workers coalesce their reply sends the same way when a
+// burst is in the ring.
 package nfsnet
 
 import (
@@ -93,8 +94,9 @@ type Server struct {
 	// histograms and keeps the slowest spans for trace dumps.
 	stages *metrics.StageStats
 
-	// fastOff disables the shallow dispatch path (Opts.NoFastPath); the
-	// counters account it: fastCalls datagrams serviced inline on a reader,
+	// fastOff disables inline service (multi-reader shared-socket ingest,
+	// see Serve); the counters account it: fastCalls datagrams serviced
+	// inline on a reader,
 	// fastFallbacks datagrams classified eligible but punted to the generic
 	// path, sendBatches send syscalls issued by the coalescing writers and
 	// sendMsgs replies sent through them.
@@ -223,7 +225,7 @@ func Serve(srv *server.Server, udpAddr, tcpAddr string) (*Server, error) {
 		// (starving its siblings) and serialize all header-only service on
 		// one goroutine. Reuseport sockets (each reader owns one) and the
 		// single-reader fallback have no such contention.
-		fastOff: srv.Opts.NoFastPath || (!reuse && nreaders > 1),
+		fastOff: !reuse && nreaders > 1,
 	}
 	s.fastCalls = srv.Metrics.Counter("rpc.fastpath.calls")
 	s.fastFallbacks = srv.Metrics.Counter("rpc.fastpath.fallbacks")

@@ -36,12 +36,6 @@ type GetattrArgs struct{ File FH }
 // Encode marshals the arguments.
 func (a *GetattrArgs) Encode(e *xdr.Encoder) { putFH(e, a.File) }
 
-// DecodeGetattrArgs unmarshals a bare file handle argument.
-func DecodeGetattrArgs(d *xdr.Decoder) (*GetattrArgs, error) {
-	fh, err := getFH(d)
-	return &GetattrArgs{File: fh}, err
-}
-
 // SetattrArgs is the SETATTR argument (sattrargs).
 type SetattrArgs struct {
 	File FH
@@ -52,17 +46,6 @@ type SetattrArgs struct {
 func (a *SetattrArgs) Encode(e *xdr.Encoder) {
 	putFH(e, a.File)
 	a.Attr.Encode(e)
-}
-
-// DecodeSetattrArgs unmarshals sattrargs.
-func DecodeSetattrArgs(d *xdr.Decoder) (*SetattrArgs, error) {
-	a := &SetattrArgs{}
-	var err error
-	if a.File, err = getFH(d); err != nil {
-		return nil, err
-	}
-	a.Attr, err = DecodeSattr(d)
-	return a, err
 }
 
 // ReadArgs is the READ argument (readargs).

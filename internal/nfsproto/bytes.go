@@ -2,12 +2,12 @@ package nfsproto
 
 import "renonfs/internal/xdr"
 
-// Flat-buffer encoders for the shallow dispatch path. Each EncodeBytes
-// mirrors its chain-based Encode byte-for-byte — the fast path's golden
-// equivalence test pins that — but appends to a caller-provided buffer via
-// xdr.ByteWriter instead of assembling an mbuf chain. Only the result
-// types a header-only procedure can produce get one; payload-bearing
-// results (READ, WRITE) stay on the chain path where loaning lives.
+// Flat-buffer encoders for the bounded-reply procedures, which marshal
+// their results into a byte region via xdr.ByteWriter instead of
+// assembling an mbuf chain (the server's bounded.go). READLINK, READDIR,
+// STATFS and MNT results are encoded only this way. Fattr, attrstat and
+// diropres results also keep a chain-based Encode for the payload-bearing
+// procedures, byte-for-byte the same wire format.
 
 func putTimeBytes(w *xdr.ByteWriter, t Time) {
 	w.PutUint32(t.Sec)
@@ -48,9 +48,6 @@ func (r *DiropRes) EncodeBytes(w *xdr.ByteWriter) {
 		r.Attr.EncodeBytes(w)
 	}
 }
-
-// EncodeBytes marshals the bare-status result into w.
-func (r *StatusRes) EncodeBytes(w *xdr.ByteWriter) { w.PutUint32(uint32(r.Status)) }
 
 // EncodeBytes marshals the READLINK result into w.
 func (r *ReadlinkRes) EncodeBytes(w *xdr.ByteWriter) {

@@ -92,16 +92,12 @@ func TestMountArgsResRoundTrip(t *testing.T) {
 	}
 
 	res := &MntRes{Status: 0, File: MakeFH(1, 2, 3)}
-	c2 := &mbuf.Chain{}
-	res.Encode(xdr.NewEncoder(c2))
-	rout, err := DecodeMntRes(xdr.NewDecoder(c2))
+	rout, err := DecodeMntRes(xdr.NewDecoder(encBytes(res.EncodeBytes)))
 	if err != nil || rout.Status != 0 || rout.File != res.File {
 		t.Fatalf("rout = %+v, err = %v", rout, err)
 	}
 	// Errno result has no handle.
-	c3 := &mbuf.Chain{}
-	(&MntRes{Status: 13}).Encode(xdr.NewEncoder(c3))
-	rout3, err := DecodeMntRes(xdr.NewDecoder(c3))
+	rout3, err := DecodeMntRes(xdr.NewDecoder(encBytes((&MntRes{Status: 13}).EncodeBytes)))
 	if err != nil || rout3.Status != 13 {
 		t.Fatalf("rout3 = %+v, err = %v", rout3, err)
 	}

@@ -49,14 +49,6 @@ type MntRes struct {
 	File   FH
 }
 
-// Encode marshals the result.
-func (r *MntRes) Encode(e *xdr.Encoder) {
-	e.PutUint32(r.Status)
-	if r.Status == 0 {
-		e.PutFixedOpaque(r.File[:])
-	}
-}
-
 // DecodeMntRes unmarshals the MNT result.
 func DecodeMntRes(d *xdr.Decoder) (*MntRes, error) {
 	s, err := d.Uint32()

@@ -135,14 +135,6 @@ type ReadlinkRes struct {
 	Path   string
 }
 
-// Encode marshals the result.
-func (r *ReadlinkRes) Encode(e *xdr.Encoder) {
-	e.PutUint32(uint32(r.Status))
-	if r.Status == OK {
-		e.PutString(r.Path)
-	}
-}
-
 // DecodeReadlinkRes unmarshals the READLINK result.
 func DecodeReadlinkRes(d *xdr.Decoder) (*ReadlinkRes, error) {
 	s, err := d.Uint32()
@@ -173,22 +165,6 @@ type ReaddirRes struct {
 	Status  Status
 	Entries []DirEntry
 	EOF     bool
-}
-
-// Encode marshals the result using the XDR linked-list convention.
-func (r *ReaddirRes) Encode(e *xdr.Encoder) {
-	e.PutUint32(uint32(r.Status))
-	if r.Status != OK {
-		return
-	}
-	for i := range r.Entries {
-		e.PutBool(true) // entry follows
-		e.PutUint32(r.Entries[i].FileID)
-		e.PutString(r.Entries[i].Name)
-		e.PutUint32(r.Entries[i].Cookie)
-	}
-	e.PutBool(false) // no more entries
-	e.PutBool(r.EOF)
 }
 
 // DecodeReaddirRes unmarshals the READDIR result.
@@ -238,19 +214,6 @@ type StatfsRes struct {
 	Blocks uint32
 	BFree  uint32
 	BAvail uint32
-}
-
-// Encode marshals the result.
-func (r *StatfsRes) Encode(e *xdr.Encoder) {
-	e.PutUint32(uint32(r.Status))
-	if r.Status != OK {
-		return
-	}
-	e.PutUint32(r.TSize)
-	e.PutUint32(r.BSize)
-	e.PutUint32(r.Blocks)
-	e.PutUint32(r.BFree)
-	e.PutUint32(r.BAvail)
 }
 
 // DecodeStatfsRes unmarshals the STATFS result.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"renonfs/internal/mbuf"
+	"renonfs/internal/memfs"
 	"renonfs/internal/nfsproto"
 	"renonfs/internal/rpc"
 	"renonfs/internal/xdr"
@@ -66,119 +67,149 @@ func assertEquiv(t *testing.T, s *Server, peer, label string, wire []byte) {
 	}
 }
 
-// TestFastPathReplyEquivalence pins the shallow path's replies
-// byte-for-byte against the generic dispatcher for every fast-eligible
-// procedure, including the error paths.
-func TestFastPathReplyEquivalence(t *testing.T) {
-	s := newServer()
-	root := s.RootFH()
-	fileFH := mustCreate(t, s, root, "f")
-	for i := 0; i < 40; i++ {
-		mustCreate(t, s, root, fmt.Sprintf("bulk-%02d", i))
+// dispatchFixture builds the preload the two-entry tests replay against:
+// a file f, a symlink ln -> f and 40 more files under the root. Inode
+// numbers and the logical file clock are deterministic, so two fixtures
+// hand out identical handles and attributes.
+func dispatchFixture(tb testing.TB) (s *Server, root, file, link nfsproto.FH) {
+	tb.Helper()
+	fs := memfs.New(1, nil, nil)
+	s = New(fs, Reno())
+	f, err := fs.Create(nil, fs.Root(), "f", 0644)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	const peer = "udp:127.0.0.1:9999"
+	for i := 0; i < 40; i++ {
+		if _, err := fs.Create(nil, fs.Root(), fmt.Sprintf("bulk-%02d", i), 0644); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	ln, err := fs.Symlink(nil, fs.Root(), "ln", "f", 0777)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s, s.RootFH(), fs.FH(f), fs.FH(ln)
+}
+
+// equivCase is one call of the two-entry equivalence suite.
+type equivCase struct {
+	label string
+	wire  []byte
+}
+
+// equivCases lists every bounded procedure, with its error paths, against
+// a dispatchFixture's handles — the equivalence suite's calls and the
+// FuzzServerDispatch seeds.
+func equivCases(root, fileFH, linkFH nfsproto.FH) []equivCase {
 	var stale nfsproto.FH
 	stale[0] = 0xde
 	stale[31] = 0xad
-
-	nfs := func(xid, proc uint32, args func(e *xdr.Encoder)) []byte {
-		return encodeWire(xid, nfsproto.Program, nfsproto.Version, proc, args)
+	var cases []equivCase
+	nfs := func(label string, xid, proc uint32, args func(e *xdr.Encoder)) {
+		cases = append(cases, equivCase{label, encodeWire(xid, nfsproto.Program, nfsproto.Version, proc, args)})
+	}
+	mnt := func(label string, xid, proc uint32, args func(e *xdr.Encoder)) {
+		cases = append(cases, equivCase{label, encodeWire(xid, nfsproto.MountProgram, nfsproto.MountVersion, proc, args)})
+	}
+	fh := func(fh nfsproto.FH) func(e *xdr.Encoder) {
+		return func(e *xdr.Encoder) { (&nfsproto.GetattrArgs{File: fh}).Encode(e) }
+	}
+	dirop := func(dir nfsproto.FH, name string) func(e *xdr.Encoder) {
+		return func(e *xdr.Encoder) { (&nfsproto.DiropArgs{Dir: dir, Name: name}).Encode(e) }
+	}
+	readdir := func(dir nfsproto.FH, cookie, count uint32) func(e *xdr.Encoder) {
+		return func(e *xdr.Encoder) {
+			(&nfsproto.ReaddirArgs{Dir: dir, Cookie: cookie, Count: count}).Encode(e)
+		}
 	}
 
-	assertEquiv(t, s, peer, "null", nfs(101, nfsproto.ProcNull, nil))
-	assertEquiv(t, s, peer, "getattr ok", nfs(102, nfsproto.ProcGetattr, func(e *xdr.Encoder) {
-		(&nfsproto.GetattrArgs{File: fileFH}).Encode(e)
-	}))
-	assertEquiv(t, s, peer, "getattr stale", nfs(103, nfsproto.ProcGetattr, func(e *xdr.Encoder) {
-		(&nfsproto.GetattrArgs{File: stale}).Encode(e)
-	}))
-	assertEquiv(t, s, peer, "lookup ok", nfs(104, nfsproto.ProcLookup, func(e *xdr.Encoder) {
-		(&nfsproto.DiropArgs{Dir: root, Name: "f"}).Encode(e)
-	}))
+	nfs("null", 101, nfsproto.ProcNull, nil)
+	nfs("getattr ok", 102, nfsproto.ProcGetattr, fh(fileFH))
+	nfs("getattr stale", 103, nfsproto.ProcGetattr, fh(stale))
+	nfs("lookup ok", 104, nfsproto.ProcLookup, dirop(root, "f"))
 	// Twice: the second pass answers from the name cache on both paths.
-	assertEquiv(t, s, peer, "lookup cached", nfs(105, nfsproto.ProcLookup, func(e *xdr.Encoder) {
-		(&nfsproto.DiropArgs{Dir: root, Name: "f"}).Encode(e)
-	}))
+	nfs("lookup cached", 105, nfsproto.ProcLookup, dirop(root, "f"))
 	// ENOENT twice: the second pass hits the negative name cache.
-	for i, label := range []string{"lookup enoent", "lookup negcache"} {
-		assertEquiv(t, s, peer, label, nfs(uint32(106+i), nfsproto.ProcLookup, func(e *xdr.Encoder) {
-			(&nfsproto.DiropArgs{Dir: root, Name: "missing"}).Encode(e)
-		}))
-	}
-	assertEquiv(t, s, peer, "lookup notdir", nfs(108, nfsproto.ProcLookup, func(e *xdr.Encoder) {
-		(&nfsproto.DiropArgs{Dir: fileFH, Name: "x"}).Encode(e)
-	}))
-	assertEquiv(t, s, peer, "lookup stale dir", nfs(109, nfsproto.ProcLookup, func(e *xdr.Encoder) {
-		(&nfsproto.DiropArgs{Dir: stale, Name: "f"}).Encode(e)
-	}))
-	assertEquiv(t, s, peer, "readdir full", nfs(110, nfsproto.ProcReaddir, func(e *xdr.Encoder) {
-		(&nfsproto.ReaddirArgs{Dir: root, Count: 2048}).Encode(e)
-	}))
+	nfs("lookup enoent", 106, nfsproto.ProcLookup, dirop(root, "missing"))
+	nfs("lookup negcache", 107, nfsproto.ProcLookup, dirop(root, "missing"))
+	nfs("lookup notdir", 108, nfsproto.ProcLookup, dirop(fileFH, "x"))
+	nfs("lookup stale dir", 109, nfsproto.ProcLookup, dirop(stale, "f"))
+	nfs("readdir full", 110, nfsproto.ProcReaddir, readdir(root, 0, 2048))
 	// A small budget truncates the listing (eof=false) identically.
-	assertEquiv(t, s, peer, "readdir truncated", nfs(111, nfsproto.ProcReaddir, func(e *xdr.Encoder) {
-		(&nfsproto.ReaddirArgs{Dir: root, Count: 256}).Encode(e)
-	}))
+	nfs("readdir truncated", 111, nfsproto.ProcReaddir, readdir(root, 0, 256))
 	// Resume from a mid-listing cookie.
-	assertEquiv(t, s, peer, "readdir cookie", nfs(112, nfsproto.ProcReaddir, func(e *xdr.Encoder) {
-		(&nfsproto.ReaddirArgs{Dir: root, Cookie: 7, Count: 512}).Encode(e)
-	}))
-	assertEquiv(t, s, peer, "readdir notdir", nfs(113, nfsproto.ProcReaddir, func(e *xdr.Encoder) {
-		(&nfsproto.ReaddirArgs{Dir: fileFH, Count: 512}).Encode(e)
-	}))
-	assertEquiv(t, s, peer, "readdir stale", nfs(114, nfsproto.ProcReaddir, func(e *xdr.Encoder) {
-		(&nfsproto.ReaddirArgs{Dir: stale, Count: 512}).Encode(e)
-	}))
-	assertEquiv(t, s, peer, "statfs", nfs(115, nfsproto.ProcStatfs, func(e *xdr.Encoder) {
-		(&nfsproto.GetattrArgs{File: root}).Encode(e)
-	}))
-
-	// SETATTR is non-idempotent: the fast path commits its reply to the
-	// dupcache, so assertEquiv's generic pass (same peer, same xid) is a
-	// retransmission and must replay the fast reply verbatim. That replay
-	// IS the equivalence being pinned — a fresh execution would advance
-	// ctime and legitimately differ.
-	assertEquiv(t, s, peer, "setattr ok", nfs(116, nfsproto.ProcSetattr, func(e *xdr.Encoder) {
+	nfs("readdir cookie", 112, nfsproto.ProcReaddir, readdir(root, 7, 512))
+	nfs("readdir notdir", 113, nfsproto.ProcReaddir, readdir(fileFH, 0, 512))
+	nfs("readdir stale", 114, nfsproto.ProcReaddir, readdir(stale, 0, 512))
+	nfs("statfs", 115, nfsproto.ProcStatfs, fh(root))
+	nfs("setattr ok", 116, nfsproto.ProcSetattr, func(e *xdr.Encoder) {
 		sa := nfsproto.NewSattr()
 		sa.Mode = 0600
 		(&nfsproto.SetattrArgs{File: fileFH, Attr: sa}).Encode(e)
-	}))
-	assertEquiv(t, s, peer, "setattr stale", nfs(117, nfsproto.ProcSetattr, func(e *xdr.Encoder) {
+	})
+	nfs("setattr stale", 117, nfsproto.ProcSetattr, func(e *xdr.Encoder) {
 		(&nfsproto.SetattrArgs{File: stale, Attr: nfsproto.NewSattr()}).Encode(e)
-	}))
-
-	// READLINK needs a symlink in the fixture; plant it via the generic path.
-	genericReply(t, s, peer, nfs(130, nfsproto.ProcSymlink, func(e *xdr.Encoder) {
-		(&nfsproto.SymlinkArgs{From: nfsproto.DiropArgs{Dir: root, Name: "ln"},
-			To: "f", Attr: nfsproto.NewSattr()}).Encode(e)
-	}))
-	linkFH := mustLookup(t, s, root, "ln").File
-	assertEquiv(t, s, peer, "readlink ok", nfs(118, nfsproto.ProcReadlink, func(e *xdr.Encoder) {
-		(&nfsproto.GetattrArgs{File: linkFH}).Encode(e)
-	}))
-	assertEquiv(t, s, peer, "readlink notlink", nfs(119, nfsproto.ProcReadlink, func(e *xdr.Encoder) {
-		(&nfsproto.GetattrArgs{File: fileFH}).Encode(e)
-	}))
-	assertEquiv(t, s, peer, "readlink stale", nfs(131, nfsproto.ProcReadlink, func(e *xdr.Encoder) {
-		(&nfsproto.GetattrArgs{File: stale}).Encode(e)
-	}))
-
-	mnt := func(xid, proc uint32, args func(e *xdr.Encoder)) []byte {
-		return encodeWire(xid, nfsproto.MountProgram, nfsproto.MountVersion, proc, args)
-	}
-	assertEquiv(t, s, peer, "mount null", mnt(120, nfsproto.MountProcNull, nil))
-	assertEquiv(t, s, peer, "mnt ok", mnt(121, nfsproto.MountProcMnt, func(e *xdr.Encoder) {
+	})
+	nfs("readlink ok", 118, nfsproto.ProcReadlink, fh(linkFH))
+	nfs("readlink notlink", 119, nfsproto.ProcReadlink, fh(fileFH))
+	nfs("readlink stale", 131, nfsproto.ProcReadlink, fh(stale))
+	mnt("mount null", 120, nfsproto.MountProcNull, nil)
+	mnt("mnt ok", 121, nfsproto.MountProcMnt, func(e *xdr.Encoder) {
 		(&nfsproto.MntArgs{DirPath: "/"}).Encode(e)
-	}))
-	assertEquiv(t, s, peer, "mnt enoent", mnt(122, nfsproto.MountProcMnt, func(e *xdr.Encoder) {
+	})
+	mnt("mnt enoent", 122, nfsproto.MountProcMnt, func(e *xdr.Encoder) {
 		(&nfsproto.MntArgs{DirPath: "/no-such-export"}).Encode(e)
-	}))
+	})
+	return cases
 }
 
-// TestFastPathDupcacheIndependence pins that the shallow path — which only
-// carries idempotent procedures — neither reads nor pollutes the sharded
-// dupcache: a fast GETATTR reusing a CREATE's xid must still be serviced
-// fresh and byte-identically on both paths, and the cached CREATE reply
-// must survive for a real retransmit.
+// TestFastPathReplyEquivalence pins the inline entry's replies
+// byte-for-byte against the nfsd entry's for every bounded procedure,
+// including the error paths. Both run the same handlers; what this checks
+// is the entries around them — argument staging, the reply header, the
+// dupcache discipline and the chain copy-out.
+//
+// SETATTR is non-idempotent: the inline entry commits its reply to the
+// dupcache, so assertEquiv's nfsd pass (same peer, same xid) is a
+// retransmission and must replay the inline reply verbatim. That replay
+// IS the equivalence being pinned — a fresh execution would advance ctime
+// and legitimately differ.
+func TestFastPathReplyEquivalence(t *testing.T) {
+	s, root, fileFH, linkFH := dispatchFixture(t)
+	const peer = "udp:127.0.0.1:9999"
+	for _, c := range equivCases(root, fileFH, linkFH) {
+		assertEquiv(t, s, peer, c.label, c.wire)
+	}
+}
+
+// TestBoundedReplyChainsSmall pins the nfsd entry's reply shape: a bounded
+// reply copied out of the flat handler region lands in small mbufs only,
+// as the field-by-field encoder built it, because the NIC model charges
+// page remapping per cluster.
+func TestBoundedReplyChainsSmall(t *testing.T) {
+	s, root, fileFH, linkFH := dispatchFixture(t)
+	cases := equivCases(root, fileFH, linkFH)
+	cases = append(cases, equivCase{"readdir 8k window", encodeWire(140, nfsproto.Program,
+		nfsproto.Version, nfsproto.ProcReaddir, func(e *xdr.Encoder) {
+			(&nfsproto.ReaddirArgs{Dir: root, Count: nfsproto.MaxData}).Encode(e)
+		})})
+	for _, c := range cases {
+		rep := s.HandleCall(nil, "p", mbuf.FromBytes(c.wire))
+		if rep == nil {
+			t.Fatalf("%s: no reply", c.label)
+		}
+		if n, _ := rep.Clusters(); n != 0 {
+			t.Errorf("%s: %d-byte reply holds %d cluster(s)", c.label, rep.Len(), n)
+		}
+		rep.Free()
+	}
+}
+
+// TestFastPathDupcacheIndependence pins that an idempotent call on the
+// inline entry neither reads nor pollutes the sharded dupcache (which is
+// keyed by procedure as well as xid): a GETATTR reusing a CREATE's xid must
+// still be serviced fresh and byte-identically by both entries, and the
+// cached CREATE reply must survive for a real retransmit.
 func TestFastPathDupcacheIndependence(t *testing.T) {
 	s := newServer()
 	root := s.RootFH()
@@ -213,7 +244,7 @@ func TestFastPathDupcacheIndependence(t *testing.T) {
 	if replay := genericReply(t, s, peer, createWire); !bytes.Equal(replay, createRep) {
 		t.Errorf("CREATE retransmit not replayed verbatim after fast-path traffic:\n got  %x\n want %x", replay, createRep)
 	}
-	if hits := s.Stats.DupHits.Load(); hits == 0 {
+	if hits := s.cDupHits.Value(); hits == 0 {
 		t.Error("CREATE retransmit produced no dupcache hit")
 	}
 }
@@ -245,12 +276,12 @@ func TestFastPathFallbacks(t *testing.T) {
 			t.Fatalf("%s: call did not reach HandleCallFast", label)
 		}
 		before := s.cCalls.Value()
-		bytesIn := s.Stats.BytesIn.Load()
+		bytesIn := s.cBytesIn.Value()
 		rep, ok := s.HandleCallFast("p", wire, &h, argOff, make([]byte, 0, FastReplyMax), nil)
 		if ok || rep != nil {
 			t.Errorf("%s: fast path serviced a call that must punt", label)
 		}
-		if s.cCalls.Value() != before || s.Stats.BytesIn.Load() != bytesIn {
+		if s.cCalls.Value() != before || s.cBytesIn.Value() != bytesIn {
 			t.Errorf("%s: punted call moved counters", label)
 		}
 	}

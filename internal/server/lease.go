@@ -97,9 +97,7 @@ func (s *Server) sendEviction(p *sim.Proc, to holderAddr, fh nfsproto.FH) {
 	e.PutUint32(nfsproto.EvictionMagic)
 	e.PutFixedOpaque(fh[:])
 	s.cbSock.Send(p, to.node, to.port, c)
-	s.Stats.Evictions.Add(1)
 	s.cLeaseEvict.Inc()
-	s.Metrics.Counter("nfs.lease_evictions").Add(1)
 }
 
 // collectEvictions marks the lease as being vacated and returns the
@@ -265,7 +263,7 @@ func (s *Server) piggyback(e *xdr.Encoder, peer string, fh nfsproto.FH, ftype nf
 	}
 }
 
-// piggybackBytes is piggyback's flat-buffer twin for the shallow path.
+// piggybackBytes is piggyback's twin for the byte-region handlers.
 func (s *Server) piggybackBytes(w *xdr.ByteWriter, peer string, fh nfsproto.FH, ftype nfsproto.FileType, hint *nfsproto.LeaseHint) {
 	if g, ok := s.piggyGrant(peer, fh, ftype, hint); ok {
 		g.EncodeBytes(w)

@@ -7,7 +7,6 @@ import (
 
 	"renonfs/internal/memfs"
 	"renonfs/internal/nfsproto"
-	"renonfs/internal/sim"
 	"renonfs/internal/xdr"
 )
 
@@ -104,31 +103,28 @@ func (s *Server) lookupExportPath(path string) (*memfs.Inode, uint32) {
 	return n, mntOK
 }
 
-// dispatchMount serves one MOUNT-program procedure.
-func (s *Server) dispatchMount(p *sim.Proc, proc uint32, peer string, d *xdr.Decoder, e *xdr.Encoder) error {
-	s.charge(p, "nfs", costDispatch)
+// mnt serves MNT: walk the exported path and, on success, record the
+// mount (DUMP's view) and answer with the directory's handle.
+func (s *Server) mnt(peer, path string, w *xdr.ByteWriter) {
+	n, status := s.lookupExportPath(path)
+	if status != mntOK {
+		(&nfsproto.MntRes{Status: status}).EncodeBytes(w)
+		return
+	}
+	st := s.mountState()
+	st.mu.Lock()
+	st.mounts[peer+" "+path] = nfsproto.MountEntry{Host: peer, Dir: path}
+	st.mu.Unlock()
+	(&nfsproto.MntRes{Status: mntOK, File: s.FS.FH(n)}).EncodeBytes(w)
+}
+
+// dispatchMount serves the MOUNT procedures left outside the bounded set
+// (DUMP, UMNT, UMNTALL, EXPORT); NULL and MNT run in bounded.go.
+func (s *Server) dispatchMount(proc uint32, peer string, d *xdr.Decoder, e *xdr.Encoder) error {
 	st := s.mountState()
 	switch proc {
-	case nfsproto.MountProcNull:
-		return nil
-	case nfsproto.MountProcMnt:
-		args, err := nfsproto.DecodeMntArgs(d)
-		if err != nil {
-			return err
-		}
-		n, status := s.lookupExportPath(args.DirPath)
-		if status != mntOK {
-			(&nfsproto.MntRes{Status: status}).Encode(e)
-			return nil
-		}
-		st.mu.Lock()
-		st.mounts[peer+" "+args.DirPath] = nfsproto.MountEntry{Host: peer, Dir: args.DirPath}
-		st.mu.Unlock()
-		(&nfsproto.MntRes{Status: mntOK, File: s.FS.FH(n)}).Encode(e)
-		return nil
 	case nfsproto.MountProcDump:
 		nfsproto.EncodeMountList(e, s.MountsFor())
-		return nil
 	case nfsproto.MountProcUmnt:
 		args, err := nfsproto.DecodeMntArgs(d)
 		if err != nil {
@@ -137,7 +133,6 @@ func (s *Server) dispatchMount(p *sim.Proc, proc uint32, peer string, d *xdr.Dec
 		st.mu.Lock()
 		delete(st.mounts, peer+" "+args.DirPath)
 		st.mu.Unlock()
-		return nil
 	case nfsproto.MountProcUmntAll:
 		st.mu.Lock()
 		for k, ent := range st.mounts {
@@ -146,7 +141,6 @@ func (s *Server) dispatchMount(p *sim.Proc, proc uint32, peer string, d *xdr.Dec
 			}
 		}
 		st.mu.Unlock()
-		return nil
 	case nfsproto.MountProcExport:
 		var list []nfsproto.ExportEntry
 		st.mu.Lock()
@@ -156,9 +150,6 @@ func (s *Server) dispatchMount(p *sim.Proc, proc uint32, peer string, d *xdr.Dec
 		st.mu.Unlock()
 		sort.Slice(list, func(i, j int) bool { return list[i].Dir < list[j].Dir })
 		nfsproto.EncodeExportList(e, list)
-		return nil
-	default:
-		(&nfsproto.StatusRes{Status: nfsproto.ErrIO}).Encode(e)
-		return nil
 	}
+	return nil
 }

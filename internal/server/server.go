@@ -75,10 +75,6 @@ type Options struct {
 	// they spread across readers — the hostile cross-reader path the
 	// fleet rig's herd and storm scenarios exist to exercise.
 	NoReusePort bool
-	// NoFastPath disables the real-socket frontend's shallow dispatch path
-	// (fastpath.go): every datagram takes the generic mbuf/full-decode
-	// route. Escape hatch and the "before" leg of the fast-path benchmarks.
-	NoFastPath bool
 	// Leases enables the NQNFS-style cache lease extension (procedures
 	// LEASE/VACATED) from the paper's Future Directions.
 	Leases bool
@@ -113,28 +109,6 @@ func Ultrix() Options {
 	}
 }
 
-// Stats counts server activity. The fields are atomics so that the
-// real-socket frontends (which serve each connection on its own goroutine)
-// can record calls without holding the nfsnet kernel lock, and so readers
-// like the nfsd stats endpoint can snapshot them concurrently.
-type Stats struct {
-	Calls     [nfsproto.NumProcsExt]atomic.Int64
-	Errors    atomic.Int64
-	DupHits   atomic.Int64
-	BytesIn   atomic.Int64
-	BytesOut  atomic.Int64
-	Evictions atomic.Int64 // lease eviction notices sent
-}
-
-// Total returns the total call count.
-func (s *Stats) Total() int64 {
-	var n int64
-	for i := range s.Calls {
-		n += s.Calls[i].Load()
-	}
-	return n
-}
-
 // Server is an NFS server instance.
 //
 // Concurrency: HandleCall is safe to call from many goroutines at once —
@@ -156,11 +130,12 @@ type Server struct {
 	// stripes is the cache lock-stripe count: 1 until a concurrent
 	// frontend calls EnableConcurrentDispatch (before serving traffic).
 	stripes int
-	Stats   Stats
 
-	// Metrics is the server's registry: per-procedure service-time
-	// histograms plus call/byte counters, safe to snapshot concurrently
-	// (the nfsd stats endpoint and nfsstat read it live).
+	// Metrics is the server's registry and the one source of truth for
+	// its counters: per-procedure call counts and service-time histograms,
+	// nfs.calls/errors/dup_hits/bytes_in/bytes_out and the lease.*
+	// counters, safe to snapshot concurrently (the nfsd stats endpoint and
+	// nfsstat read it live).
 	Metrics *metrics.Registry
 	// Hot-path metric handles, interned once in New: looking a counter up
 	// by name costs a map probe plus a string concatenation per call
@@ -341,12 +316,6 @@ func (s *Server) BufCacheStats() vfs.CacheStats { return s.bufc.Stats() }
 // RootFH returns the exported root file handle.
 func (s *Server) RootFH() nfsproto.FH { return s.FS.FH(s.FS.Root()) }
 
-// countErr records one NFS-level failure in both counter surfaces.
-func (s *Server) countErr() {
-	s.Stats.Errors.Add(1)
-	s.cErrors.Add(1)
-}
-
 // svcNow reads the clock used for service-time measurement: virtual time
 // under the simulator, wall clock when serving real sockets (p == nil).
 func (s *Server) svcNow(p *sim.Proc) time.Duration {
@@ -414,11 +383,12 @@ func (s *Server) HandleCall(p *sim.Proc, peer string, req *mbuf.Chain) *mbuf.Cha
 // concurrent frontends pass their per-worker span so the decode, dupcache
 // and service stages — and any lock waits underneath them — are attributed
 // to this request. sp may be nil (the simulator and tests pass nil), and
-// every stamp below is nil-safe.
+// every stamp below is nil-safe. Bounded-reply procedures run the
+// byte-region handlers HandleCallFast shares (bounded.go); everything else
+// is decoded and encoded in mbufs.
 func (s *Server) HandleCallSpan(p *sim.Proc, peer string, req *mbuf.Chain, sp *metrics.Span) *mbuf.Chain {
-	s.Stats.BytesIn.Add(int64(req.Len()))
-	s.cBytesIn.Add(int64(req.Len()))
 	reqLen := req.Len()
+	s.cBytesIn.Add(int64(reqLen))
 	d := xdr.NewDecoder(req)
 	var call rpc.Call
 	if err := rpc.DecodeCallInto(d, &call); err != nil {
@@ -427,23 +397,11 @@ func (s *Server) HandleCallSpan(p *sim.Proc, peer string, req *mbuf.Chain, sp *m
 	}
 	sp.SetCall(call.XID, call.Proc)
 	sp.Stamp(metrics.StageDecode)
-	if call.Prog == nfsproto.MountProgram && call.Vers == nfsproto.MountVersion &&
-		call.Proc <= nfsproto.MountProcExport {
-		out := &mbuf.Chain{}
-		e := xdr.NewEncoder(out)
-		rpc.EncodeReply(out, call.XID, rpc.Success)
-		if err := s.dispatchMount(p, call.Proc, peer, d, e); err != nil {
-			out.Free()
-			out = &mbuf.Chain{}
-			rpc.EncodeReply(out, call.XID, rpc.GarbageArgs)
-		}
-		s.Stats.BytesOut.Add(int64(out.Len()))
-		s.cBytesOut.Add(int64(out.Len()))
-		return out
-	}
+	mount := call.Prog == nfsproto.MountProgram && call.Vers == nfsproto.MountVersion &&
+		call.Proc <= nfsproto.MountProcExport
 	unavailable := call.Proc >= nfsproto.NumProcsExt ||
 		(call.Proc >= nfsproto.NumProcs && !s.extensionEnabled(call.Proc))
-	if call.Prog != nfsproto.Program || call.Vers != nfsproto.Version || unavailable {
+	if !mount && (call.Prog != nfsproto.Program || call.Vers != nfsproto.Version || unavailable) {
 		stat := uint32(rpc.ProcUnavail)
 		if call.Prog != nfsproto.Program {
 			stat = rpc.ProgUnavail
@@ -455,35 +413,33 @@ func (s *Server) HandleCallSpan(p *sim.Proc, peer string, req *mbuf.Chain, sp *m
 		return out
 	}
 	s.charge(p, "nfs", costDispatch)
-	if s.Opts.XDRCopyLayer {
+	if !mount && s.Opts.XDRCopyLayer {
 		s.charge(p, "xdr_layer", costXDRCall+costXDRByte*float64(reqLen))
 	}
-	// Duplicate request cache for non-idempotent procedures. begin claims
-	// the key before execution: a retransmission racing the original call
-	// on another nfsd is dropped (the client retransmits again and finds
-	// the committed reply) instead of executed a second time.
-	dkey := dupKey{peer: peer, xid: call.XID, proc: call.Proc}
-	if nonIdempotent[call.Proc] {
-		cached, inflight := s.dupc.begin(dkey, sp)
-		sp.Stamp(metrics.StageDupcheck)
-		if inflight {
-			sp.SetErr()
-			return nil
-		}
-		if cached != nil {
-			s.Stats.DupHits.Add(1)
-			s.cDupHits.Add(1)
-			metrics.Emit(s.Tracer, metrics.DupCacheHit{Proc: call.Proc})
-			return cached.Clone()
-		}
+	if bounded(call.Prog, call.Vers, call.Proc) {
+		return s.handleBounded(p, peer, &call, req, reqLen-d.Remaining(), sp)
 	}
-	s.Stats.Calls[call.Proc].Add(1)
-	s.cCalls.Add(1)
-	s.procCalls[call.Proc].Add(1)
-	begin := s.svcNow(p)
-
 	out := &mbuf.Chain{}
 	e := xdr.NewEncoder(out)
+	if mount {
+		rpc.EncodeReply(out, call.XID, rpc.Success)
+		if err := s.dispatchMount(call.Proc, peer, d, e); err != nil {
+			out.Free()
+			out = &mbuf.Chain{}
+			rpc.EncodeReply(out, call.XID, rpc.GarbageArgs)
+		}
+		s.cBytesOut.Add(int64(out.Len()))
+		return out
+	}
+	dkey := dupKey{peer: peer, xid: call.XID, proc: call.Proc}
+	cached, drop := s.admit(dkey, sp)
+	if drop {
+		return nil
+	}
+	if cached != nil {
+		return cached.Clone()
+	}
+	begin := s.svcNow(p)
 	rpc.EncodeReply(out, call.XID, rpc.Success)
 	err := s.dispatch(p, call.Proc, peer, d, e, sp)
 	sp.Stamp(metrics.StageService)
@@ -494,26 +450,56 @@ func (s *Server) HandleCallSpan(p *sim.Proc, peer string, req *mbuf.Chain, sp *m
 		out = &mbuf.Chain{}
 		rpc.EncodeReply(out, call.XID, rpc.GarbageArgs)
 	}
-	// Service time spans decode through dispatch: simulated CPU charges and
-	// disk sleeps under the simulator, real elapsed time over sockets.
-	svc := s.svcNow(p) - begin
-	s.procSvc[call.Proc].ObserveDuration(svc)
-	if s.Tracer != nil { // guard: boxing the event allocates even when untraced
-		metrics.Emit(s.Tracer, metrics.ServerCall{
-			Proc: call.Proc, Peer: peer, XID: call.XID,
-			NonIdempotent: nonIdempotent[call.Proc],
-			Service:       svc, Error: err != nil,
-		})
-	}
-	if s.Opts.XDRCopyLayer {
-		s.charge(p, "xdr_layer", costXDRByte*float64(out.Len()))
-	}
+	s.served(p, dkey, s.svcNow(p)-begin, err != nil, out.Len())
 	if nonIdempotent[call.Proc] {
 		s.dupc.commit(dkey, out.Clone(), sp)
 	}
-	s.Stats.BytesOut.Add(int64(out.Len()))
-	s.cBytesOut.Add(int64(out.Len()))
 	return out
+}
+
+// admit is the duplicate-request check and call accounting every NFS call
+// passes, whichever entry brought it. begin claims a non-idempotent call's
+// key before execution: a retransmission racing the original on another
+// nfsd is dropped (drop=true; the client retransmits again and finds the
+// committed reply) instead of executed a second time, and a completed
+// one's committed reply comes back as cached. Any other call is counted
+// and goes on to service.
+func (s *Server) admit(dkey dupKey, sp *metrics.Span) (cached *mbuf.Chain, drop bool) {
+	if nonIdempotent[dkey.proc] {
+		cached, drop = s.dupc.begin(dkey, sp)
+		sp.Stamp(metrics.StageDupcheck)
+		if drop {
+			sp.SetErr()
+			return nil, true
+		}
+		if cached != nil {
+			s.cDupHits.Inc()
+			metrics.Emit(s.Tracer, metrics.DupCacheHit{Proc: dkey.proc})
+			return cached, false
+		}
+	}
+	s.cCalls.Inc()
+	s.procCalls[dkey.proc].Inc()
+	return nil, false
+}
+
+// served closes the accounting admit opened for a call answered with
+// replyLen bytes. Service time spans decode through dispatch: simulated CPU
+// charges and disk sleeps under the simulator, real elapsed time over
+// sockets. The caller commits a non-idempotent reply to the dupcache next.
+func (s *Server) served(p *sim.Proc, dkey dupKey, svc time.Duration, failed bool, replyLen int) {
+	s.procSvc[dkey.proc].ObserveDuration(svc)
+	if s.Tracer != nil { // guard: boxing the event allocates even when untraced
+		metrics.Emit(s.Tracer, metrics.ServerCall{
+			Proc: dkey.proc, Peer: dkey.peer, XID: dkey.xid,
+			NonIdempotent: nonIdempotent[dkey.proc],
+			Service:       svc, Error: failed,
+		})
+	}
+	if s.Opts.XDRCopyLayer {
+		s.charge(p, "xdr_layer", costXDRByte*float64(replyLen))
+	}
+	s.cBytesOut.Add(int64(replyLen))
 }
 
 // dispatch decodes arguments from d and encodes results onto e. A returned
@@ -527,16 +513,6 @@ func (s *Server) dispatch(p *sim.Proc, proc uint32, peer string, d *xdr.Decoder,
 		return s.vacatedCall(p, peer, d, e)
 	case nfsproto.ProcReaddirLook:
 		return s.readdirLook(p, d, e)
-	case nfsproto.ProcNull:
-		return nil
-	case nfsproto.ProcGetattr:
-		return s.getattr(p, peer, d, e)
-	case nfsproto.ProcSetattr:
-		return s.setattr(p, peer, d, e)
-	case nfsproto.ProcLookup:
-		return s.lookup(p, peer, d, e, sp)
-	case nfsproto.ProcReadlink:
-		return s.readlink(p, d, e)
 	case nfsproto.ProcRead:
 		return s.read(p, peer, d, e, sp)
 	case nfsproto.ProcWrite:
@@ -555,59 +531,11 @@ func (s *Server) dispatch(p *sim.Proc, proc uint32, peer string, d *xdr.Decoder,
 		return s.mkdir(p, d, e)
 	case nfsproto.ProcRmdir:
 		return s.rmdir(p, d, e)
-	case nfsproto.ProcReaddir:
-		return s.readdir(p, d, e)
-	case nfsproto.ProcStatfs:
-		return s.statfs(p, d, e)
 	default:
 		// ROOT and WRITECACHE are obsolete/unused.
 		(&nfsproto.StatusRes{Status: nfsproto.ErrIO}).Encode(e)
 		return nil
 	}
-}
-
-func (s *Server) getattr(p *sim.Proc, peer string, d *xdr.Decoder, e *xdr.Encoder) error {
-	args, err := nfsproto.DecodeGetattrArgs(d)
-	if err != nil {
-		return err
-	}
-	hint := nfsproto.DecodeLeaseHint(d)
-	s.charge(p, "nfs", costVOP)
-	// Attributes of a write-leased file live on the holder; evict first.
-	if s.leaseConflict(p, args.File, false, peer) {
-		(&nfsproto.AttrRes{Status: nfsproto.ErrTryLater}).Encode(e)
-		return nil
-	}
-	n, err := s.FS.Resolve(args.File)
-	if err != nil {
-		(&nfsproto.AttrRes{Status: errStatus(err)}).Encode(e)
-		return nil
-	}
-	attr := s.FS.Attr(n)
-	(&nfsproto.AttrRes{Status: nfsproto.OK, Attr: &attr}).Encode(e)
-	s.piggyback(e, peer, args.File, attr.Type, hint)
-	return nil
-}
-
-func (s *Server) setattr(p *sim.Proc, peer string, d *xdr.Decoder, e *xdr.Encoder) error {
-	args, err := nfsproto.DecodeSetattrArgs(d)
-	if err != nil {
-		return err
-	}
-	s.charge(p, "nfs", costVOP)
-	if s.leaseConflict(p, args.File, true, peer) {
-		(&nfsproto.AttrRes{Status: nfsproto.ErrTryLater}).Encode(e)
-		return nil
-	}
-	n, err := s.FS.Resolve(args.File)
-	if err != nil {
-		(&nfsproto.AttrRes{Status: errStatus(err)}).Encode(e)
-		return nil
-	}
-	s.FS.Setattr(p, n, args.Attr)
-	attr := s.FS.Attr(n)
-	(&nfsproto.AttrRes{Status: nfsproto.OK, Attr: &attr}).Encode(e)
-	return nil
 }
 
 // scanDirectory walks the directory's blocks through the buffer cache,
@@ -633,80 +561,6 @@ func (s *Server) scanDirectory(p *sim.Proc, dir *memfs.Inode, sp *metrics.Span) 
 			s.FS.Disk.Read(p, memfs.BlockSize)
 		}
 	}
-}
-
-func (s *Server) lookup(p *sim.Proc, peer string, d *xdr.Decoder, e *xdr.Encoder, sp *metrics.Span) error {
-	args, err := nfsproto.DecodeDiropArgs(d)
-	if err != nil {
-		return err
-	}
-	hint := nfsproto.DecodeLeaseHint(d)
-	s.charge(p, "nfs", costVOP)
-	dir, err := s.FS.Resolve(args.Dir)
-	if err != nil {
-		(&nfsproto.DiropRes{Status: errStatus(err)}).Encode(e)
-		return nil
-	}
-	// Name cache first (when the personality has one).
-	if s.namec.Enabled() {
-		s.charge(p, "namecache", costNameCacheHit)
-		if vn, vgen, neg, found := s.namec.Lookup(dir.Ino, dir.Gen, args.Name, sp); found {
-			if neg {
-				(&nfsproto.DiropRes{Status: nfsproto.ErrNoEnt}).Encode(e)
-				return nil
-			}
-			if n, err := s.FS.Get(vn, vgen); err == nil {
-				if s.leaseConflict(p, s.FS.FH(n), false, peer) {
-					(&nfsproto.DiropRes{Status: nfsproto.ErrTryLater}).Encode(e)
-					return nil
-				}
-				attr := s.FS.Attr(n)
-				(&nfsproto.DiropRes{Status: nfsproto.OK, File: s.FS.FH(n), Attr: &attr}).Encode(e)
-				s.piggyback(e, peer, s.FS.FH(n), attr.Type, hint)
-				return nil
-			}
-			s.namec.Remove(dir.Ino, dir.Gen, args.Name)
-		}
-	}
-	s.scanDirectory(p, dir, sp)
-	n, err := s.FS.Lookup(dir, args.Name)
-	if err != nil {
-		if err == memfs.ErrNoEnt {
-			s.namec.EnterNegative(dir.Ino, dir.Gen, args.Name, sp)
-		}
-		s.countErr()
-		(&nfsproto.DiropRes{Status: errStatus(err)}).Encode(e)
-		return nil
-	}
-	s.namec.Enter(dir.Ino, dir.Gen, args.Name, n.Ino, n.Gen, sp)
-	if s.leaseConflict(p, s.FS.FH(n), false, peer) {
-		(&nfsproto.DiropRes{Status: nfsproto.ErrTryLater}).Encode(e)
-		return nil
-	}
-	attr := s.FS.Attr(n)
-	(&nfsproto.DiropRes{Status: nfsproto.OK, File: s.FS.FH(n), Attr: &attr}).Encode(e)
-	s.piggyback(e, peer, s.FS.FH(n), attr.Type, hint)
-	return nil
-}
-
-func (s *Server) readlink(p *sim.Proc, d *xdr.Decoder, e *xdr.Encoder) error {
-	args, err := nfsproto.DecodeGetattrArgs(d)
-	if err != nil {
-		return err
-	}
-	s.charge(p, "nfs", costVOP)
-	n, err := s.FS.Resolve(args.File)
-	if err != nil {
-		(&nfsproto.ReadlinkRes{Status: errStatus(err)}).Encode(e)
-		return nil
-	}
-	target, err := s.FS.Readlink(n)
-	if err != nil {
-		(&nfsproto.ReadlinkRes{Status: errStatus(err)}).Encode(e)
-		return nil
-	}
-	(&nfsproto.ReadlinkRes{Status: nfsproto.OK, Path: target}).Encode(e)
-	return nil
 }
 
 func (s *Server) read(p *sim.Proc, peer string, d *xdr.Decoder, e *xdr.Encoder, sp *metrics.Span) error {
@@ -858,7 +712,7 @@ func (s *Server) create(p *sim.Proc, peer string, d *xdr.Decoder, e *xdr.Encoder
 		}
 	}
 	if err != nil {
-		s.countErr()
+		s.cErrors.Inc()
 		(&nfsproto.DiropRes{Status: errStatus(err)}).Encode(e)
 		return nil
 	}
@@ -900,7 +754,7 @@ func (s *Server) remove(p *sim.Proc, peer string, d *xdr.Decoder, e *xdr.Encoder
 		rerr = s.FS.Remove(p, dir, args.Name)
 	}
 	if rerr != nil {
-		s.countErr()
+		s.cErrors.Inc()
 	}
 	(&nfsproto.StatusRes{Status: errStatus(rerr)}).Encode(e)
 	return nil
@@ -930,7 +784,7 @@ func (s *Server) rename(p *sim.Proc, d *xdr.Decoder, e *xdr.Encoder) error {
 		rerr = s.FS.Rename(p, from, args.From.Name, to, args.To.Name)
 	}
 	if rerr != nil {
-		s.countErr()
+		s.cErrors.Inc()
 	}
 	(&nfsproto.StatusRes{Status: errStatus(rerr)}).Encode(e)
 	return nil
@@ -958,7 +812,7 @@ func (s *Server) link(p *sim.Proc, d *xdr.Decoder, e *xdr.Encoder) error {
 		}
 	}
 	if rerr != nil {
-		s.countErr()
+		s.cErrors.Inc()
 	}
 	(&nfsproto.StatusRes{Status: errStatus(rerr)}).Encode(e)
 	return nil
@@ -980,7 +834,7 @@ func (s *Server) symlink(p *sim.Proc, d *xdr.Decoder, e *xdr.Encoder) error {
 		_, rerr = s.FS.Symlink(p, dir, args.From.Name, args.To, mode)
 	}
 	if rerr != nil {
-		s.countErr()
+		s.cErrors.Inc()
 	}
 	(&nfsproto.StatusRes{Status: errStatus(rerr)}).Encode(e)
 	return nil
@@ -1004,7 +858,7 @@ func (s *Server) mkdir(p *sim.Proc, d *xdr.Decoder, e *xdr.Encoder) error {
 	}
 	n, rerr := s.FS.Mkdir(p, dir, args.Where.Name, mode)
 	if rerr != nil {
-		s.countErr()
+		s.cErrors.Inc()
 		(&nfsproto.DiropRes{Status: errStatus(rerr)}).Encode(e)
 		return nil
 	}
@@ -1031,75 +885,8 @@ func (s *Server) rmdir(p *sim.Proc, d *xdr.Decoder, e *xdr.Encoder) error {
 		rerr = s.FS.Rmdir(p, dir, args.Name)
 	}
 	if rerr != nil {
-		s.countErr()
+		s.cErrors.Inc()
 	}
 	(&nfsproto.StatusRes{Status: errStatus(rerr)}).Encode(e)
-	return nil
-}
-
-func (s *Server) readdir(p *sim.Proc, d *xdr.Decoder, e *xdr.Encoder) error {
-	args, err := nfsproto.DecodeReaddirArgs(d)
-	if err != nil {
-		return err
-	}
-	s.charge(p, "nfs", costVOP)
-	dir, rerr := s.FS.Resolve(args.Dir)
-	if rerr != nil {
-		(&nfsproto.ReaddirRes{Status: errStatus(rerr)}).Encode(e)
-		return nil
-	}
-	if dir.Type != nfsproto.TypeDir {
-		(&nfsproto.ReaddirRes{Status: nfsproto.ErrNotDir}).Encode(e)
-		return nil
-	}
-	s.scanDirectory(p, dir, nil)
-	ents := s.FS.DirEntries(dir)
-	res := &nfsproto.ReaddirRes{Status: nfsproto.OK}
-	// Cookie 0 starts with "." and ".."; synthetic cookies count entries
-	// emitted so far.
-	budget := int(args.Count)
-	if budget <= 0 || budget > nfsproto.MaxData {
-		budget = nfsproto.MaxData
-	}
-	// Entries are synthesized on the fly — "." and ".." first, then the
-	// directory list — rather than materializing the whole directory into a
-	// scratch slice per call.
-	used := 16 // status + eof + terminator
-	total := len(ents) + 2
-	if start := int(args.Cookie); start < total {
-		res.Entries = make([]nfsproto.DirEntry, 0, total-start)
-	}
-	for i := int(args.Cookie); i < total; i++ {
-		var ent nfsproto.DirEntry
-		switch i {
-		case 0:
-			ent = nfsproto.DirEntry{FileID: dir.Ino, Name: ".", Cookie: 1}
-		case 1:
-			ent = nfsproto.DirEntry{FileID: dir.Ino, Name: "..", Cookie: 2}
-		default:
-			de := ents[i-2]
-			ent = nfsproto.DirEntry{FileID: de.Ino, Name: de.Name, Cookie: uint32(i + 1)}
-		}
-		sz := 16 + len(ent.Name)
-		if used+sz > budget {
-			res.EOF = false
-			res.Encode(e)
-			return nil
-		}
-		res.Entries = append(res.Entries, ent)
-		used += sz
-	}
-	res.EOF = true
-	res.Encode(e)
-	return nil
-}
-
-func (s *Server) statfs(p *sim.Proc, d *xdr.Decoder, e *xdr.Encoder) error {
-	if _, err := nfsproto.DecodeGetattrArgs(d); err != nil {
-		return err
-	}
-	s.charge(p, "nfs", costVOP)
-	res := s.FS.Statfs()
-	res.Encode(e)
 	return nil
 }

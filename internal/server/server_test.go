@@ -176,11 +176,11 @@ func TestDupCacheSuppressesReplay(t *testing.T) {
 	if res1.File != res2.File {
 		t.Fatal("replayed create returned a different file")
 	}
-	if s.Stats.DupHits.Load() != 1 {
-		t.Fatalf("DupHits = %d", s.Stats.DupHits.Load())
+	if n := s.cDupHits.Value(); n != 1 {
+		t.Fatalf("DupHits = %d", n)
 	}
-	if s.Stats.Calls[nfsproto.ProcCreate].Load() != 1 {
-		t.Fatalf("create executed %d times", s.Stats.Calls[nfsproto.ProcCreate].Load())
+	if n := s.procCalls[nfsproto.ProcCreate].Value(); n != 1 {
+		t.Fatalf("create executed %d times", n)
 	}
 	// A different peer with the same xid is NOT a duplicate.
 	_, d = callPeer(t, s, "client-b", 777, nfsproto.ProcCreate, func(e *xdr.Encoder) {
@@ -190,8 +190,8 @@ func TestDupCacheSuppressesReplay(t *testing.T) {
 	if res3.Status != nfsproto.OK {
 		t.Fatalf("other peer create: %v", res3.Status)
 	}
-	if s.Stats.Calls[nfsproto.ProcCreate].Load() != 2 {
-		t.Fatalf("create count = %d", s.Stats.Calls[nfsproto.ProcCreate].Load())
+	if n := s.procCalls[nfsproto.ProcCreate].Value(); n != 2 {
+		t.Fatalf("create count = %d", n)
 	}
 }
 

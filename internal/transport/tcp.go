@@ -127,7 +127,8 @@ func (t *TCP) Close() {
 		return
 	}
 	t.closed = true
-	for _, pc := range t.pending {
+	for _, xid := range xidOrder(nil, t.pending) {
+		pc := t.pending[xid]
 		if pc.done.IsSet() {
 			continue
 		}
@@ -235,7 +236,8 @@ func (t *TCP) rxLoop(p *sim.Proc, conn *tcpsim.Conn) {
 			break
 		}
 		if attempt+1 >= tcpReconnectAttempts {
-			for _, pc := range t.pending {
+			for _, xid := range xidOrder(nil, t.pending) {
+				pc := t.pending[xid]
 				if pc.done.IsSet() {
 					continue
 				}
@@ -247,8 +249,10 @@ func (t *TCP) rxLoop(p *sim.Proc, conn *tcpsim.Conn) {
 		}
 		p.Sleep(time.Second)
 	}
-	for _, pc := range t.pending {
-		if !pc.done.IsSet() {
+	// Replay in ascending XID order; sendOne parks, so each call is looked
+	// up afresh in case it completed meanwhile.
+	for _, xid := range xidOrder(nil, t.pending) {
+		if pc := t.pending[xid]; pc != nil && !pc.done.IsSet() {
 			t.stats.Retries++
 			metrics.Emit(t.Tracer, metrics.Retransmit{Proc: pc.proc, XID: pc.xid, Backoff: 1})
 			// Restart the reply clock: RTT then measures the replay's

@@ -15,6 +15,7 @@ package transport
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"renonfs/internal/mbuf"
@@ -195,6 +196,19 @@ func decodeReply(msg *mbuf.Chain) (*xdr.Decoder, error) {
 		return nil, errors.New("transport: rpc error status")
 	}
 	return d, nil
+}
+
+// xidOrder returns the XIDs of a pending table in ascending order, reusing
+// buf. Calls that expire, replay or fail together are walked in this order
+// so a simulation replays identically; ranging over the map itself would
+// follow Go's randomized iteration.
+func xidOrder[V any](buf []uint32, pending map[uint32]V) []uint32 {
+	buf = buf[:0]
+	for xid := range pending {
+		buf = append(buf, xid)
+	}
+	slices.Sort(buf)
+	return buf
 }
 
 // Timing constants.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"renonfs/internal/memfs"
+	"renonfs/internal/metrics"
 	"renonfs/internal/netsim"
 	"renonfs/internal/nfsproto"
 	"renonfs/internal/server"
@@ -429,5 +430,50 @@ func TestTCPReplyTimeoutRecoversSilentOutage(t *testing.T) {
 	}
 	if retries == 0 {
 		t.Fatal("expected watchdog-driven replays across the outage")
+	}
+}
+
+// TestUDPRetransmitOrderDeterministic sends a burst of calls to a silent
+// server so they all expire in the same timer tick. The retransmissions
+// must go out in ascending XID order, and two runs with the same seed must
+// emit the identical sequence (ranging over the pending map would not).
+func TestUDPRetransmitOrderDeterministic(t *testing.T) {
+	const calls = 16
+	run := func() []metrics.Retransmit {
+		r := newRig(t, 31, netsim.TopoLAN, nil)
+		r.srv.SetDown(true)
+		var got []metrics.Retransmit
+		cfg := FixedUDP()
+		cfg.Retrans = 2
+		cfg.Tracer = metrics.FuncTracer(func(ev metrics.Event) {
+			if rt, ok := ev.(metrics.Retransmit); ok {
+				got = append(got, rt)
+			}
+		})
+		tr := NewUDP(r.tb.Client, 1001, r.tb.Server.ID, server.NFSPort, cfg)
+		for i := 0; i < calls; i++ {
+			r.env.Spawn(fmt.Sprintf("caller-%d", i), func(p *sim.Proc) {
+				proc, args := lookupCall(r, "file-00")
+				if _, err := tr.Call(p, proc, args); err != ErrCallTimeout {
+					t.Errorf("call against a silent server: err = %v, want timeout", err)
+				}
+			})
+		}
+		r.env.Run(time.Minute)
+		return got
+	}
+	first := run()
+	if len(first) != 2*calls {
+		t.Fatalf("%d retransmits, want %d", len(first), 2*calls)
+	}
+	for i := 1; i < len(first); i++ {
+		a, b := first[i-1], first[i]
+		if a.Backoff == b.Backoff && a.XID >= b.XID {
+			t.Fatalf("retransmit %d: xid %d after %d in the same round", i, b.XID, a.XID)
+		}
+	}
+	second := run()
+	if fmt.Sprint(first) != fmt.Sprint(second) {
+		t.Fatalf("retransmit sequence differs between runs:\n %v\n %v", first, second)
 	}
 }

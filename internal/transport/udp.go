@@ -160,7 +160,8 @@ func (t *UDP) Close() {
 		return
 	}
 	t.closed = true
-	for _, pc := range t.pending {
+	for _, xid := range xidOrder(nil, t.pending) {
+		pc := t.pending[xid]
 		if pc.done.IsSet() {
 			continue
 		}
@@ -321,13 +322,18 @@ func dgProc(t *UDP, xid uint32) uint32 {
 
 // timerLoop is the NFS client timer: every tick it scans pending requests
 // and retransmits the expired, recomputing deadlines from the freshest
-// estimates (unless the ablation pins them at send time).
+// estimates (unless the ablation pins them at send time). Expired calls go
+// out in ascending XID order; each send parks, so a call completed or
+// dropped meanwhile is looked up afresh and skipped.
 func (t *UDP) timerLoop(p *sim.Proc) {
+	var order []uint32
 	for !t.closed {
 		p.Sleep(NFSTick)
 		now := p.Now()
-		for _, pc := range t.pending {
-			if pc.done.IsSet() {
+		order = xidOrder(order, t.pending)
+		for _, xid := range order {
+			pc := t.pending[xid]
+			if pc == nil || pc.done.IsSet() {
 				continue
 			}
 			deadline := pc.deadline

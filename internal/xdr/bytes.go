@@ -44,9 +44,6 @@ func (r *ByteReader) Uint32() uint32 {
 	return v
 }
 
-// Bool decodes an XDR boolean.
-func (r *ByteReader) Bool() bool { return r.Uint32() != 0 }
-
 // FixedOpaque returns a view of n opaque bytes (no length prefix), skipping
 // the alignment pad. The view aliases the input buffer.
 func (r *ByteReader) FixedOpaque(n int) []byte {
@@ -107,12 +104,6 @@ func (w *ByteWriter) PutFixedOpaque(p []byte) {
 	for pad := Pad(len(p)) - len(p); pad > 0; pad-- {
 		w.buf = append(w.buf, 0)
 	}
-}
-
-// PutOpaque encodes variable-length opaque data: length, data, pad.
-func (w *ByteWriter) PutOpaque(p []byte) {
-	w.PutUint32(uint32(len(p)))
-	w.PutFixedOpaque(p)
 }
 
 // PutString encodes an XDR string.

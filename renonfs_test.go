@@ -278,3 +278,23 @@ func TestSaturationQuickShape(t *testing.T) {
 		t.Errorf("RTT did not degrade with load\n%s", tb)
 	}
 }
+
+// TestSaturationQuickDeterministic pins that one seed renders one table: the
+// saturation sweep drives clients into retransmission, and calls that
+// expire in the same timer tick must go out in the same order every run.
+func TestSaturationQuickDeterministic(t *testing.T) {
+	render := func() string {
+		tabs, err := RunExperiment("saturation", ExpConfig{Quick: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out string
+		for _, tb := range tabs {
+			out += tb.String()
+		}
+		return out
+	}
+	if a, b := render(), render(); a != b {
+		t.Errorf("two quick saturation runs differ:\n%s\n%s", a, b)
+	}
+}
